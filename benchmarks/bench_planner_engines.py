@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import EngineConfig
 from repro.env.generator import random_scene
 from repro.env.octree import Octree
 from repro.planning.engine import make_engine
@@ -79,7 +80,7 @@ def _run_engine(
     )
     kwargs = {"seed": SEED} if engine_kind == "simulated" else {}
     kwargs.update(engine_kwargs)
-    engine = make_engine(engine_kind, checker, **kwargs)
+    engine = make_engine(EngineConfig(kind=engine_kind), checker, **kwargs)
     recorder = CDTraceRecorder(checker, engine=engine)
     planner = PRMPlanner(recorder, n_samples=N_SAMPLES, k_neighbors=K_NEIGHBORS)
     rng = np.random.default_rng(SEED)

@@ -208,30 +208,24 @@ class RuntimeReport:
     _KEYS = ("ticks", "final_path")
 
     def to_dict(self) -> dict:
-        """Serialize under the common report protocol (kind
-        ``"runtime_report"``; see :mod:`repro.harness.reports`)."""
-        from repro.harness.reports import stamp_report
-
-        return stamp_report(
-            "runtime_report",
-            {
-                "ticks": [tick.to_dict() for tick in self.ticks],
-                "final_path": [
-                    np.asarray(q, dtype=float).tolist()
-                    for q in self.final_path
-                ],
-            },
-        )
+        """JSON-native dict of the report's fields (the file envelope of
+        :func:`repro.harness.serialization.save_report` names the kind)."""
+        return {
+            "ticks": [tick.to_dict() for tick in self.ticks],
+            "final_path": [
+                np.asarray(q, dtype=float).tolist() for q in self.final_path
+            ],
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RuntimeReport":
-        from repro.harness.reports import unpack_report
+        from repro.harness.reports import check_keys
 
-        body = unpack_report(data, "runtime_report", cls._KEYS)
+        check_keys("RuntimeReport", data, cls._KEYS)
         return cls(
-            ticks=[TickReport.from_dict(tick) for tick in body["ticks"]],
+            ticks=[TickReport.from_dict(tick) for tick in data["ticks"]],
             final_path=[
-                np.asarray(q, dtype=float) for q in body["final_path"]
+                np.asarray(q, dtype=float) for q in data["final_path"]
             ],
         )
 

@@ -19,12 +19,15 @@ stored delta equal to what a fresh evaluation would have charged, always.
 **Selective invalidation.**  On an environment update the owner computes
 the changed-region boxes with :func:`repro.env.diff.octree_delta_regions`
 and calls :meth:`invalidate_regions`.  An entry survives iff its
-*footprint* — the AABB over the robot's quantized link OBBs at the cached
-pose — is disjoint from every changed box.  This is safe because the
-octree traversal only examines an octant whose parent node it visited, and
-it only visits nodes whose box intersects the query volume: when no
-changed node's box touches the footprint, the traversal (verdict *and*
-work counts) is identical in the old and new trees.  Footprints are
+*footprint* — the AABB over the bounding spheres of the robot's quantized
+link OBBs at the cached pose — is disjoint from every changed box.  This
+is safe because the octree traversal only examines an octant whose parent
+node it visited, and it only visits nodes whose box intersects the query
+volume, whose outermost test is the link's bounding sphere (the cascade's
+first stage): when no changed node's box touches the footprint, the
+traversal (verdict *and* work counts) is identical in the old and new
+trees.  Bounding only the OBB is not enough — an update inside the
+sphere-minus-OBB shell changes the sphere-stage counts.  Footprints are
 computed lazily at first invalidation and cached on the entry.
 
 Hit/miss/invalidation counters are mirrored into an optional
@@ -474,11 +477,16 @@ class TieredCollisionCache:
 
 
 def footprint_of_obbs(obbs) -> AABB:
-    """AABB enclosing a set of OBBs (the cache's pose footprint)."""
+    """AABB enclosing every OBB's bounding sphere (the cache's pose footprint).
+
+    The cascade's first stage tests node boxes against each link's
+    bounding sphere, so a pose's work counts depend on every node within
+    that sphere — not only on the nodes the OBB itself touches.
+    """
     lo = np.full(3, np.inf)
     hi = np.full(3, -np.inf)
     for obb in obbs:
-        extent = np.abs(obb.rotation) @ obb.half_extents
-        lo = np.minimum(lo, obb.center - extent)
-        hi = np.maximum(hi, obb.center + extent)
+        radius = obb.bounding_sphere_radius
+        lo = np.minimum(lo, obb.center - radius)
+        hi = np.maximum(hi, obb.center + radius)
     return AABB.from_min_max(lo, hi)

@@ -278,7 +278,8 @@ class RobotEnvironmentChecker:
         return obbs
 
     def pose_footprint(self, q):
-        """AABB over the (quantized, uncorrupted) link OBBs at ``q``.
+        """AABB over the (quantized, uncorrupted) link OBBs' bounding
+        spheres at ``q``.
 
         This bounds the query volume the octree traversal tests against, so
         the cache can prove an environment update cannot have changed a

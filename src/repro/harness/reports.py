@@ -1,44 +1,26 @@
-"""The common schema-versioned report protocol.
+"""Strict key checking for the common report protocol.
 
-:class:`~repro.serving.service.ServiceReport`,
-:class:`~repro.accel.runtime.RuntimeReport`, and
-:class:`~repro.serving.fleet.FleetReport` all serialize through the same
-conventions: a flat dict stamped with ``"schema"`` (the protocol version)
-and ``"kind"`` (the report type's registry name), every other key mapping
-1:1 onto a dataclass field with JSON-native values.  Deserialization is
-strict — an unknown or missing key is rejected *by name*, never silently
-dropped, so a report written by a newer (or corrupted) producer fails
-loudly instead of round-tripping into a subtly different object.
+:class:`~repro.serving.service.ServiceReport` (and its subclass
+:class:`~repro.serving.fleet.FleetReport`) and
+:class:`~repro.accel.runtime.RuntimeReport` serialize to a flat dict whose
+keys map 1:1 onto dataclass fields with JSON-native values.
+Deserialization is strict — an unknown or missing key is rejected *by
+name*, never silently dropped, so a report written by a newer (or
+corrupted) producer fails loudly instead of round-tripping into a subtly
+different object.  The schema and the report kind live only in the file
+envelope of :func:`repro.harness.serialization.save_report`.
 
 This module is dependency-free on purpose: the report classes live in
 layers (``repro.serving``, ``repro.accel``) that must not import the
-harness at module scope, so they import these helpers lazily inside their
-``to_dict``/``from_dict`` methods.  The file-level save/load entry points
-(with the kind registry) are :func:`repro.harness.serialization.save_report`
-/ :func:`repro.harness.serialization.load_report`.
+harness at module scope, so they import :func:`check_keys` lazily inside
+their ``from_dict`` methods.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = [
-    "REPORT_SCHEMA",
-    "stamp_report",
-    "unpack_report",
-    "check_keys",
-]
-
-#: Version stamp written into every serialized report.  Bump on any
-#: incompatible key change; ``unpack_report`` rejects mismatches.
-REPORT_SCHEMA = 1
-
-
-def stamp_report(kind: str, payload: dict) -> dict:
-    """Wrap a report payload with the protocol's schema/kind stamps."""
-    out = {"schema": REPORT_SCHEMA, "kind": kind}
-    out.update(payload)
-    return out
+__all__ = ["check_keys"]
 
 
 def check_keys(label: str, data: dict, known_keys: Sequence[str]) -> None:
@@ -53,21 +35,3 @@ def check_keys(label: str, data: dict, known_keys: Sequence[str]) -> None:
         raise ValueError(
             f"missing keys in {label}: {', '.join(missing)}"
         )
-
-
-def unpack_report(data: dict, kind: str, known_keys: Sequence[str]) -> dict:
-    """Validate stamps and key set; returns the payload without stamps."""
-    if not isinstance(data, dict):
-        raise TypeError(f"expected a serialized report dict, got {type(data).__name__}")
-    schema = data.get("schema")
-    if schema != REPORT_SCHEMA:
-        raise ValueError(
-            f"unsupported report schema {schema!r} (this build reads "
-            f"schema {REPORT_SCHEMA})"
-        )
-    got = data.get("kind")
-    if got != kind:
-        raise ValueError(f"expected report kind {kind!r}, got {got!r}")
-    body = {k: v for k, v in data.items() if k not in ("schema", "kind")}
-    check_keys(f"{kind} report", body, known_keys)
-    return body

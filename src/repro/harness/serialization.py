@@ -6,12 +6,20 @@ without re-running the planner or the collision substrate.  This module
 provides the same workflow: record planner traces once, save them as JSON,
 and replay them through any simulator configuration later.
 
-JSON schema (version 1):
+Every file this module writes shares one envelope::
 
-```
-{
-  "version": 1,
-  "traces": [
+    {"schema": 1, "kind": "traces", "payload": [...]}
+
+``kind`` names what the payload holds (``traces``, ``phases``,
+``sas_run``, ``engine_run``, ``fault_schedule``, ``config``, ``scenario``,
+``telemetry``, ``traffic_trace``, ``service_report``, ``runtime_report``
+or ``fleet_report``).  Reading is strict: the top-level keys must be
+exactly those three, the schema must be :data:`FILE_SCHEMA`, and the kind
+must be the one the loader reads; any mismatch is refused by name.  The
+public ``save_*``/``load_*`` pairs only encode and decode payloads;
+:func:`_write` and :func:`_read` are the one place the envelope is made
+and checked.  A trace payload is a list of::
+
     {
       "benchmark_index": 0,
       "result": {"success": true, "nn_inferences": 12, ...},
@@ -19,15 +27,10 @@ JSON schema (version 1):
         {
           "mode": "feasibility",
           "label": "steer",
-          "motions": [
-            {"poses": [[...], ...], "outcomes": [false, ...]}
-          ]
+          "motions": [{"poses": [[...], ...], "outcomes": [false, ...]}]
         }
       ]
     }
-  ]
-}
-```
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 
 from repro.accel.sas import DispatchEvent, PhaseStats, SASResult
 from repro.accel.telemetry import MetricsRegistry, TraceEvent
+from repro.harness.reports import check_keys
 from repro.harness.traces import QueryTrace
 from repro.planning.motion import CDPhase, FunctionMode, MotionRecord
 from repro.planning.mpnet import PlanResult
@@ -48,7 +52,44 @@ from repro.resilience.faults import FaultEvent, FaultModels, FaultSchedule
 if TYPE_CHECKING:
     from repro.planning.engine import PhaseAnswer
 
-SCHEMA_VERSION = 1
+#: Envelope version of every file written here; bump on any incompatible
+#: payload change.
+FILE_SCHEMA = 1
+
+_ENVELOPE_KEYS = ("schema", "kind", "payload")
+
+
+def _write(path: str, kind: str, payload, indent: Optional[int] = None) -> None:
+    """Write ``payload`` inside the file envelope, stamped with ``kind``."""
+    envelope = {"schema": FILE_SCHEMA, "kind": kind, "payload": payload}
+    with open(path, "w") as handle:
+        json.dump(envelope, handle, indent=indent)
+
+
+def _read(path: str, *kinds: str):
+    """Read a file envelope; returns ``(kind, payload)``.
+
+    Refuses, by name, any top-level key other than the envelope's three, a
+    missing one, a schema other than :data:`FILE_SCHEMA`, and a kind not in
+    ``kinds``.
+    """
+    with open(path) as handle:
+        envelope = json.load(handle)
+    if not isinstance(envelope, dict):
+        raise ValueError(f"{path} is not a file envelope (a JSON object)")
+    check_keys("file envelope", envelope, _ENVELOPE_KEYS)
+    if envelope["schema"] != FILE_SCHEMA:
+        raise ValueError(
+            f"unsupported file schema version {envelope['schema']!r}; "
+            f"this build reads schema {FILE_SCHEMA}"
+        )
+    kind = envelope["kind"]
+    if kind not in kinds:
+        raise ValueError(
+            f"expected a {' or '.join(map(repr, kinds))} file, "
+            f"got kind {kind!r}"
+        )
+    return kind, envelope["payload"]
 
 
 def phase_to_dict(phase: CDPhase) -> dict:
@@ -111,45 +152,23 @@ def trace_from_dict(data: dict) -> QueryTrace:
 
 def save_traces(path: str, traces: List[QueryTrace]) -> None:
     """Write traces to a JSON file (ground truth fully evaluated)."""
-    payload = {
-        "version": SCHEMA_VERSION,
-        "traces": [trace_to_dict(t) for t in traces],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    _write(path, "traces", [trace_to_dict(t) for t in traces])
 
 
 def load_traces(path: str) -> List[QueryTrace]:
     """Load traces written by :func:`save_traces`."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    return [trace_from_dict(t) for t in payload["traces"]]
+    _, payload = _read(path, "traces")
+    return [trace_from_dict(t) for t in payload]
 
 
 def save_phases(path: str, phases: List[CDPhase]) -> None:
     """Write a bare phase list (no planner metadata)."""
-    payload = {
-        "version": SCHEMA_VERSION,
-        "phases": [phase_to_dict(p) for p in phases],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    _write(path, "phases", [phase_to_dict(p) for p in phases])
 
 
 def load_phases(path: str) -> List[CDPhase]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    return [phase_from_dict(p) for p in payload["phases"]]
+    _, payload = _read(path, "phases")
+    return [phase_from_dict(p) for p in payload]
 
 
 # ----------------------------------------------------------------------
@@ -286,25 +305,15 @@ def save_sas_run(
     invariant checker can re-audit the saved schedule against the saved
     ground truth (``repro.accel.invariants.check_sas_result``).
     """
-    payload = {
-        "version": SCHEMA_VERSION,
-        "result": sas_result_to_dict(result),
-    }
+    payload = {"result": sas_result_to_dict(result)}
     if phases is not None:
         payload["phases"] = [phase_to_dict(p) for p in phases]
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    _write(path, "sas_run", payload)
 
 
 def load_sas_run(path: str) -> tuple:
     """Load a saved SAS run; returns ``(result, phases_or_None)``."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
+    _, payload = _read(path, "sas_run")
     result = sas_result_from_dict(payload["result"])
     phases = None
     if "phases" in payload:
@@ -348,27 +357,19 @@ def save_engine_run(
     if sas_results is None:
         sas_results = list(getattr(recorder.engine, "results", []))
     payload = {
-        "version": SCHEMA_VERSION,
         "engine": recorder.engine.name,
         "phases": [phase_to_dict(p) for p in recorder.phases],
         "answers": [list(a.outcomes) for a in recorder.answers],
         "sas_results": [sas_result_to_dict(r) for r in sas_results],
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
+    _write(path, "engine_run", payload)
 
 
 def load_engine_run(path: str) -> EngineRun:
     """Load an engine run written by :func:`save_engine_run`."""
     from repro.planning.engine import PhaseAnswer
 
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
+    _, payload = _read(path, "engine_run")
     engine = payload.get("engine", "sequential")
     phases = [phase_from_dict(p) for p in payload["phases"]]
     answers = [
@@ -434,24 +435,13 @@ def fault_schedule_from_dict(data: dict) -> FaultSchedule:
 
 def save_fault_schedule(path: str, schedule: FaultSchedule) -> None:
     """Write a fault schedule (generator key + fired-event log) as JSON."""
-    payload = {
-        "version": SCHEMA_VERSION,
-        "fault_schedule": fault_schedule_to_dict(schedule),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    _write(path, "fault_schedule", fault_schedule_to_dict(schedule), indent=2)
 
 
 def load_fault_schedule(path: str) -> FaultSchedule:
     """Load a schedule written by :func:`save_fault_schedule`."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    return fault_schedule_from_dict(payload["fault_schedule"])
+    _, payload = _read(path, "fault_schedule")
+    return fault_schedule_from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -472,26 +462,15 @@ def save_config(path: str, config) -> None:
         raise TypeError(
             f"cannot serialize {name}; expected one of {sorted(CONFIG_CLASSES)}"
         )
-    payload = {
-        "version": SCHEMA_VERSION,
-        "config_class": name,
-        "config": config.to_dict(),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    payload = {"config_class": name, "config": config.to_dict()}
+    _write(path, "config", payload, indent=2)
 
 
 def load_config(path: str):
     """Load a config written by :func:`save_config` (re-validated fully)."""
     from repro.config import CONFIG_CLASSES, config_from_dict
 
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported config schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
+    _, payload = _read(path, "config")
     name = payload.get("config_class")
     cls = CONFIG_CLASSES.get(name)
     if cls is None:
@@ -519,28 +498,15 @@ def save_scenario(path: str, spec) -> None:
         raise TypeError(
             f"save_scenario expects a ScenarioSpec, got {type(spec).__name__}"
         )
-    payload = {
-        "version": SCHEMA_VERSION,
-        "scenario": spec.to_dict(),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    _write(path, "scenario", spec.to_dict(), indent=2)
 
 
 def load_scenario(path: str):
     """Load a spec written by :func:`save_scenario` (re-validated fully)."""
     from repro.scenarios.dsl import ScenarioSpec
 
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported scenario file version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    if "scenario" not in payload:
-        raise ValueError("scenario file missing required key 'scenario'")
-    return ScenarioSpec.from_dict(payload["scenario"])
+    _, payload = _read(path, "scenario")
+    return ScenarioSpec.from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -549,20 +515,12 @@ def load_scenario(path: str):
 
 
 def save_telemetry(path: str, registry: MetricsRegistry) -> None:
-    payload = {"version": SCHEMA_VERSION, "telemetry": registry.to_dict()}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    _write(path, "telemetry", registry.to_dict(), indent=2)
 
 
 def load_telemetry(path: str) -> MetricsRegistry:
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported trace schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    return MetricsRegistry.from_dict(payload["telemetry"])
+    _, payload = _read(path, "telemetry")
+    return MetricsRegistry.from_dict(payload)
 
 
 # ----------------------------------------------------------------------
@@ -582,32 +540,18 @@ def save_traffic_trace(path: str, trace) -> None:
             f"{type(trace).__name__}"
         )
     payload = {
-        "version": SCHEMA_VERSION,
-        "traffic": {
-            "spec": trace.spec.to_dict(),
-            "events": [event.to_dict() for event in trace.events],
-        },
+        "spec": trace.spec.to_dict(),
+        "events": [event.to_dict() for event in trace.events],
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    _write(path, "traffic_trace", payload, indent=2)
 
 
 def load_traffic_trace(path: str):
     from repro.serving.traffic import TrafficEvent, TrafficSpec, TrafficTrace
 
-    with open(path) as handle:
-        payload = json.load(handle)
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported traffic trace version {version!r}; "
-            f"expected {SCHEMA_VERSION}"
-        )
-    if "traffic" not in payload:
-        raise ValueError("traffic trace file missing required key 'traffic'")
-    data = payload["traffic"]
-    spec = TrafficSpec.from_dict(data["spec"])
-    events = tuple(TrafficEvent.from_dict(event) for event in data["events"])
+    _, payload = _read(path, "traffic_trace")
+    spec = TrafficSpec.from_dict(payload["spec"])
+    events = tuple(TrafficEvent.from_dict(event) for event in payload["events"])
     trace = TrafficTrace(spec=spec, events=events)
     if trace != spec.generate():
         raise ValueError(
@@ -619,11 +563,10 @@ def load_traffic_trace(path: str):
 
 # ----------------------------------------------------------------------
 # Report serialization: the common report protocol.  ServiceReport,
-# RuntimeReport, and FleetReport all serialize through schema-versioned
-# to_dict/from_dict (repro.harness.reports); these are the file-level
-# entry points.  The envelope names the report kind, so one loader reads
-# all three, and everything is strict: unknown envelope keys, unknown
-# kinds, and unknown report keys are rejected by name.
+# RuntimeReport, and FleetReport each serialize their own fields through
+# to_dict/from_dict (unknown and missing keys rejected by name); the
+# envelope's kind says which class reads the payload, so one loader reads
+# all three.
 
 
 def _report_registry() -> dict:
@@ -653,38 +596,11 @@ def save_report(path: str, report) -> None:
             f"cannot serialize {type(report).__name__} as a report; "
             f"expected one of {expected}"
         )
-    payload = {
-        "version": SCHEMA_VERSION,
-        "kind": kind,
-        "report": report.to_dict(),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+    _write(path, kind, report.to_dict(), indent=2)
 
 
 def load_report(path: str):
     """Load a report written by :func:`save_report` (strictly validated)."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    unknown = sorted(set(payload) - {"version", "kind", "report"})
-    if unknown:
-        raise ValueError(
-            f"unknown keys in report envelope: {', '.join(unknown)}"
-        )
-    version = payload.get("version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported report file version {version!r}; "
-            f"expected {SCHEMA_VERSION}"
-        )
     registry = _report_registry()
-    kind = payload.get("kind")
-    cls = registry.get(kind)
-    if cls is None:
-        raise ValueError(
-            f"unknown report kind {kind!r}; expected one of "
-            f"{sorted(registry)}"
-        )
-    if "report" not in payload:
-        raise ValueError("report file missing required key 'report'")
-    return cls.from_dict(payload["report"])
+    kind, payload = _read(path, *registry)
+    return registry[kind].from_dict(payload)

@@ -51,7 +51,6 @@ __all__ = [
     "SequentialEngine",
     "BatchedEngine",
     "SimulatedEngine",
-    "ENGINE_KINDS",
     "make_engine",
     "walk_warm_phase",
 ]
@@ -581,43 +580,28 @@ class SimulatedEngine(QueryEngine):
         self.shadow_stats.reset()
 
 
-#: Engine-kind names accepted by :func:`make_engine`.
-ENGINE_KINDS = ("sequential", "batch", "simulated")
+def make_engine(config, checker, telemetry=None, **kwargs) -> QueryEngine:
+    """Build a query engine from a :class:`repro.config.EngineConfig`.
 
-
-def make_engine(kind, checker, telemetry=None, **kwargs) -> QueryEngine:
-    """Build a query engine from an :class:`repro.config.EngineConfig`.
-
-    ``kind`` may be an ``EngineConfig`` (the typed API: its ``kind``,
-    ``n_cdus``, ``policy``, ``seed``, ``check_invariants``, and
-    ``record_timeline`` fields select and parameterize the engine) or —
-    deprecated — a bare string (``"sequential"``/``"batch"``/
-    ``"simulated"``).  Extra keyword arguments are forwarded to the engine
-    constructor (e.g. ``fault_injector``).
+    ``config.kind`` selects the engine; ``n_cdus``, ``policy``, ``seed``,
+    ``check_invariants`` and ``record_timeline`` parameterize a simulated
+    engine and ``prefilter`` a batched one.  Extra keyword arguments are
+    forwarded to the engine constructor (e.g. ``fault_injector``) and take
+    precedence over the config's fields.
     """
-    import warnings
+    from repro.config import EngineConfig
 
-    if not isinstance(kind, str):  # EngineConfig (duck-typed to avoid a cycle)
-        config = kind
-        key = config.kind
-        if key == "simulated":
-            for name in ("n_cdus", "policy", "seed", "check_invariants",
-                         "record_timeline"):
-                kwargs.setdefault(name, getattr(config, name))
-        elif key in ("batch", "batched"):
-            kwargs.setdefault("prefilter", getattr(config, "prefilter", False))
-    else:
-        warnings.warn(
-            "passing the engine kind as a string to make_engine is "
-            "deprecated; pass a repro.config.EngineConfig instead",
-            DeprecationWarning,
-            stacklevel=2,
+    if not isinstance(config, EngineConfig):
+        raise TypeError(
+            f"make_engine expects a repro.config.EngineConfig, got "
+            f"{type(config).__name__}"
         )
-        key = kind.lower()
-    if key == "sequential":
-        return SequentialEngine(checker, telemetry=telemetry, **kwargs)
-    if key in ("batch", "batched"):
-        return BatchedEngine(checker, telemetry=telemetry, **kwargs)
-    if key in ("simulated", "sas"):
+    if config.kind == "simulated":
+        for name in ("n_cdus", "policy", "seed", "check_invariants",
+                     "record_timeline"):
+            kwargs.setdefault(name, getattr(config, name))
         return SimulatedEngine(checker, telemetry=telemetry, **kwargs)
-    raise ValueError(f"unknown engine kind {key!r}; choose from {ENGINE_KINDS}")
+    if config.kind == "batch":
+        kwargs.setdefault("prefilter", config.prefilter)
+        return BatchedEngine(checker, telemetry=telemetry, **kwargs)
+    return SequentialEngine(checker, telemetry=telemetry, **kwargs)

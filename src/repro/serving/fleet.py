@@ -348,7 +348,7 @@ def _run_shard_job(job: dict) -> dict:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(ServiceReport):
     """Deterministic merge of one drain's per-shard reports.
 
     ``responses`` is the shard reports' union (request ids are unique
@@ -357,117 +357,12 @@ class FleetReport:
     drain time is the slowest shard, which is exactly why goodput scales
     with shard count at fixed offered load.  Count fields are sums;
     ``shard_sim_ms`` and ``shard_summaries`` keep the per-shard breakdown.
+    Everything else, serialization included, is :class:`ServiceReport`'s.
     """
 
-    responses: Dict[str, PlanResponse]
-    sim_ms: float
-    rounds: int
-    dispatches: int
-    phases_answered: int
-    poses_dispatched: int
-    cache_counters: Optional[dict]
-    status_counts: Dict[str, int] = field(default_factory=dict)
-    shed_counts: Dict[str, int] = field(default_factory=dict)
-    overload_histogram: Dict[str, int] = field(default_factory=dict)
     n_shards: int = 1
     shard_sim_ms: List[float] = field(default_factory=list)
     shard_summaries: List[dict] = field(default_factory=list)
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for r in self.responses.values() if r.success)
-
-    @property
-    def shed(self) -> int:
-        return sum(1 for r in self.responses.values() if r.status == "shed")
-
-    @property
-    def goodput(self) -> int:
-        """Completed, successful responses that met their deadline."""
-        return sum(
-            1
-            for r in self.responses.values()
-            if r.status == "completed" and r.success and not r.deadline_missed
-        )
-
-    @property
-    def requests_per_sim_s(self) -> float:
-        if self.sim_ms <= 0:
-            return 0.0
-        return len(self.responses) / (self.sim_ms / 1e3)
-
-    @property
-    def goodput_per_sim_s(self) -> float:
-        if self.sim_ms <= 0:
-            return 0.0
-        return self.goodput / (self.sim_ms / 1e3)
-
-    _KEYS = (
-        "responses",
-        "sim_ms",
-        "rounds",
-        "dispatches",
-        "phases_answered",
-        "poses_dispatched",
-        "cache_counters",
-        "status_counts",
-        "shed_counts",
-        "overload_histogram",
-        "n_shards",
-        "shard_sim_ms",
-        "shard_summaries",
-    )
-
-    def to_dict(self) -> dict:
-        """Serialize under the common report protocol (kind
-        ``"fleet_report"``; see :mod:`repro.harness.reports`)."""
-        from repro.harness.reports import stamp_report
-
-        return stamp_report(
-            "fleet_report",
-            {
-                "responses": {
-                    rid: response.to_dict()
-                    for rid, response in sorted(self.responses.items())
-                },
-                "sim_ms": self.sim_ms,
-                "rounds": self.rounds,
-                "dispatches": self.dispatches,
-                "phases_answered": self.phases_answered,
-                "poses_dispatched": self.poses_dispatched,
-                "cache_counters": self.cache_counters,
-                "status_counts": dict(self.status_counts),
-                "shed_counts": dict(self.shed_counts),
-                "overload_histogram": dict(self.overload_histogram),
-                "n_shards": self.n_shards,
-                "shard_sim_ms": list(self.shard_sim_ms),
-                "shard_summaries": [dict(s) for s in self.shard_summaries],
-            },
-        )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FleetReport":
-        from repro.harness.reports import unpack_report
-
-        body = unpack_report(data, "fleet_report", cls._KEYS)
-        return cls(
-            responses={
-                rid: PlanResponse.from_dict(response)
-                for rid, response in body["responses"].items()
-            },
-            sim_ms=body["sim_ms"],
-            rounds=body["rounds"],
-            dispatches=body["dispatches"],
-            phases_answered=body["phases_answered"],
-            poses_dispatched=body["poses_dispatched"],
-            cache_counters=body["cache_counters"],
-            status_counts=dict(body["status_counts"]),
-            shed_counts=dict(body["shed_counts"]),
-            overload_histogram=dict(body["overload_histogram"]),
-            n_shards=body["n_shards"],
-            shard_sim_ms=list(body["shard_sim_ms"]),
-            shard_summaries=[dict(s) for s in body["shard_summaries"]],
-        )
 
 
 def _merge_counter_dicts(dicts: Sequence[Dict[str, int]]) -> Dict[str, int]:

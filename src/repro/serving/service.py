@@ -64,9 +64,9 @@ overhead-amortization argument as the paper's SAS dispatch model.
 
 from __future__ import annotations
 
+import copy
 import heapq
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -332,63 +332,35 @@ class ServiceReport:
             return 0.0
         return self.goodput / (self.sim_ms / 1e3)
 
-    _KEYS = (
-        "responses",
-        "sim_ms",
-        "rounds",
-        "dispatches",
-        "phases_answered",
-        "poses_dispatched",
-        "cache_counters",
-        "status_counts",
-        "shed_counts",
-        "overload_histogram",
-    )
-
     def to_dict(self) -> dict:
-        """Serialize under the common report protocol (kind
-        ``"service_report"``; see :mod:`repro.harness.reports`)."""
-        from repro.harness.reports import stamp_report
-
-        return stamp_report(
-            "service_report",
-            {
-                "responses": {
-                    rid: response.to_dict()
-                    for rid, response in sorted(self.responses.items())
-                },
-                "sim_ms": self.sim_ms,
-                "rounds": self.rounds,
-                "dispatches": self.dispatches,
-                "phases_answered": self.phases_answered,
-                "poses_dispatched": self.poses_dispatched,
-                "cache_counters": self.cache_counters,
-                "status_counts": dict(self.status_counts),
-                "shed_counts": dict(self.shed_counts),
-                "overload_histogram": dict(self.overload_histogram),
-            },
-        )
+        """JSON-native dict of every field (the file envelope of
+        :func:`repro.harness.serialization.save_report` names the kind)."""
+        data = {
+            f.name: copy.deepcopy(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "responses"
+        }
+        data["responses"] = {
+            rid: response.to_dict()
+            for rid, response in sorted(self.responses.items())
+        }
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceReport":
-        from repro.harness.reports import unpack_report
+        """Inverse of :meth:`to_dict`; unknown or missing keys are
+        rejected by name.  Subclasses inherit both directions."""
+        from repro.harness.reports import check_keys
 
-        body = unpack_report(data, "service_report", cls._KEYS)
-        return cls(
-            responses={
-                rid: PlanResponse.from_dict(response)
-                for rid, response in body["responses"].items()
-            },
-            sim_ms=body["sim_ms"],
-            rounds=body["rounds"],
-            dispatches=body["dispatches"],
-            phases_answered=body["phases_answered"],
-            poses_dispatched=body["poses_dispatched"],
-            cache_counters=body["cache_counters"],
-            status_counts=dict(body["status_counts"]),
-            shed_counts=dict(body["shed_counts"]),
-            overload_histogram=dict(body["overload_histogram"]),
+        check_keys(cls.__name__, data, [f.name for f in fields(cls)])
+        body = copy.deepcopy(
+            {key: value for key, value in data.items() if key != "responses"}
         )
+        body["responses"] = {
+            rid: PlanResponse.from_dict(response)
+            for rid, response in data["responses"].items()
+        }
+        return cls(**body)
 
 
 class _Task:
@@ -460,9 +432,7 @@ class PlanningService:
     service-owned :class:`repro.resilience.faults.FaultInjector` threaded
     through per-request checkers and sequential-mode engines; engine phase
     faults are retried up to ``max_fault_retries`` times before the request
-    fails with ``status="failed"`` (and no path).  The legacy
-    ``fault_injector=`` kwarg still works behind a ``DeprecationWarning``
-    shim (pinned bit-identical in ``tests/test_config_api.py``).
+    fails with ``status="failed"`` (and no path).
 
     ``cache=`` injects an externally owned cache — the fleet's hook for
     mounting a :class:`~repro.collision.cache.TieredCollisionCache` per
@@ -475,7 +445,6 @@ class PlanningService:
         octree: Octree,
         config: Optional[ReproConfig] = None,
         telemetry=None,
-        fault_injector=None,
         cache=None,
     ):
         if config is None:
@@ -491,22 +460,7 @@ class PlanningService:
         self.octree = octree
         self.config = config
         self.telemetry = telemetry
-        if fault_injector is not None:
-            if config.service.fault_models is not None:
-                raise ValueError(
-                    "faults configured twice: ServiceConfig.fault_models is "
-                    "set and a fault_injector= was passed; use the config "
-                    "field only"
-                )
-            warnings.warn(
-                "PlanningService(fault_injector=...) is deprecated; "
-                "configure faults with ServiceConfig(fault_models=..., "
-                "fault_seed=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.fault_injector = fault_injector
-        elif config.service.fault_models is not None:
+        if config.service.fault_models is not None:
             self.fault_injector = FaultInjector(
                 models=config.service.fault_models,
                 seed=config.service.fault_seed,

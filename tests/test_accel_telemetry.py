@@ -187,7 +187,9 @@ class TestExportRoundTrip:
 
     def test_telemetry_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "telemetry": {}}))
+        path.write_text(
+            json.dumps({"schema": 99, "kind": "telemetry", "payload": {}})
+        )
         with pytest.raises(ValueError, match="schema version"):
             load_telemetry(str(path))
 

@@ -30,8 +30,6 @@ from repro.env.generator import random_scene
 from repro.env.octree import Octree
 from repro.harness.serialization import load_config, save_config
 from repro.planning.engine import BatchedEngine, SequentialEngine, make_engine
-from repro.planning.recorder import CDTraceRecorder
-from repro.planning.rrt_connect import RRTConnectPlanner
 from repro.robot.presets import planar_arm
 
 
@@ -153,7 +151,7 @@ class TestRoundTrip:
         path = str(tmp_path / "config.json")
         save_config(path, ReproConfig())
         payload = json.load(open(path))
-        payload["config"]["backend"] = "vectorised"
+        payload["payload"]["config"]["backend"] = "vectorised"
         json.dump(payload, open(path, "w"))
         with pytest.raises(ValueError, match="scalar"):
             load_config(path)
@@ -162,14 +160,14 @@ class TestRoundTrip:
         path = str(tmp_path / "config.json")
         save_config(path, ReproConfig())
         payload = json.load(open(path))
-        payload["config_class"] = "TurboConfig"
+        payload["payload"]["config_class"] = "TurboConfig"
         json.dump(payload, open(path, "w"))
         with pytest.raises(ValueError, match="TurboConfig"):
             load_config(path)
-        payload["config_class"] = "ReproConfig"
-        payload["version"] = 99
+        payload["payload"]["config_class"] = "ReproConfig"
+        payload["schema"] = 99
         json.dump(payload, open(path, "w"))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match="schema"):
             load_config(path)
 
     def test_save_rejects_non_config(self, tmp_path):
@@ -198,33 +196,6 @@ class TestLegacyShims:
             typed.check_pose(q) for q in poses
         ]
         assert legacy.stats.as_dict() == typed.stats.as_dict()
-
-    def test_make_engine_string_warns_and_matches(self, world):
-        _, octree, robot = world
-
-        def run(engine_of):
-            checker = RobotEnvironmentChecker.from_config(
-                robot, octree, ReproConfig(backend="batch")
-            )
-            recorder = CDTraceRecorder(checker, engine=engine_of(checker))
-            rng = np.random.default_rng(0)
-            q_start = checker.sample_free_configuration(rng)
-            q_goal = checker.sample_free_configuration(rng)
-            path = RRTConnectPlanner(recorder).plan(q_start, q_goal, rng)
-            return path, checker.stats.as_dict()
-
-        with pytest.warns(DeprecationWarning, match="make_engine"):
-            legacy_path, legacy_stats = run(
-                lambda checker: make_engine("batch", checker)
-            )
-        typed_path, typed_stats = run(
-            lambda checker: make_engine(EngineConfig(kind="batch"), checker)
-        )
-        assert legacy_stats == typed_stats
-        assert len(legacy_path) == len(typed_path)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(legacy_path, typed_path)
-        )
 
     def test_engine_config_parameterizes_simulated(self, world):
         _, octree, robot = world
@@ -312,79 +283,6 @@ class TestLegacyShims:
                 scene_update=lambda s, tick, r: False,
                 backend="batch",
                 repro=ReproConfig(backend="batch"),
-            )
-
-    def _chaos_run(self, world, fault_injector=None, fault_models=None):
-        from repro.collision.checker import RobotEnvironmentChecker
-        from repro.serving import PlanningService, PlanRequest
-
-        _, octree, robot = world
-        config = ReproConfig.for_service(
-            service=ServiceConfig(
-                mode="sequential",
-                max_fault_retries=4,
-                fault_models=fault_models,
-                fault_seed=99,
-            )
-        )
-        service = PlanningService(
-            robot, octree, config=config, fault_injector=fault_injector
-        )
-        checker = RobotEnvironmentChecker.from_config(
-            robot, octree, ReproConfig()
-        )
-        rng = np.random.default_rng(11)
-        poses = [checker.sample_free_configuration(rng) for _ in range(4)]
-        service.submit(
-            PlanRequest("a", poses[0], poses[1], planner="rrt_connect", seed=5)
-        )
-        service.submit(
-            PlanRequest("b", poses[2], poses[3], planner="rrt", seed=6)
-        )
-        report = service.run()
-        return {
-            rid: (
-                resp.success,
-                None
-                if resp.path is None
-                else [q.tolist() for q in resp.path],
-                resp.stats.as_dict(),
-                resp.status,
-            )
-            for rid, resp in report.responses.items()
-        }, service.fault_injector.events
-
-    def test_service_fault_injector_kwarg_warns_and_matches(self, world):
-        """The deprecated fault_injector= shim is pinned bit-identical to
-        the typed ServiceConfig.fault_models path."""
-        from repro.resilience.faults import FaultInjector, FaultModels
-
-        models = FaultModels(
-            engine_exception_rate=0.05, engine_timeout_rate=0.05
-        )
-        with pytest.warns(DeprecationWarning, match="fault_models"):
-            legacy, legacy_events = self._chaos_run(
-                world, fault_injector=FaultInjector(models=models, seed=99)
-            )
-        typed, typed_events = self._chaos_run(world, fault_models=models)
-        assert legacy == typed
-        assert legacy_events == typed_events
-
-    def test_service_rejects_config_plus_fault_kwarg(self, world):
-        from repro.resilience.faults import FaultInjector, FaultModels
-        from repro.serving import PlanningService
-
-        _, octree, robot = world
-        models = FaultModels(engine_exception_rate=0.1)
-        config = ReproConfig.for_service(
-            service=ServiceConfig(fault_models=models, fault_seed=99)
-        )
-        with pytest.raises(ValueError, match="fault_injector"):
-            PlanningService(
-                robot,
-                octree,
-                config=config,
-                fault_injector=FaultInjector(models=models, seed=99),
             )
 
 

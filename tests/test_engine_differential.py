@@ -20,6 +20,7 @@ import pytest
 
 from repro.accel.invariants import check_sas_result
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import EngineConfig
 from repro.env.octree import Octree
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
@@ -64,11 +65,12 @@ def build_stack(world, engine_kind, backend):
         robot, octree, motion_step=0.05, collect_stats=True, backend=backend
     )
     if engine_kind == "simulated":
-        engine = make_engine(engine_kind, checker, seed=SEED)
+        config = EngineConfig(kind="simulated", seed=SEED)
     elif engine_kind == "batch+prefilter":
-        engine = make_engine("batch", checker, prefilter=True)
+        config = EngineConfig(kind="batch", prefilter=True)
     else:
-        engine = make_engine(engine_kind, checker)
+        config = EngineConfig(kind=engine_kind)
+    engine = make_engine(config, checker)
     return checker, CDTraceRecorder(checker, engine=engine)
 
 
@@ -289,7 +291,9 @@ class TestPreRefactorGolden:
         checker = RobotEnvironmentChecker(
             robot, octree, collect_stats=True, backend="batch"
         )
-        recorder = CDTraceRecorder(checker, engine=make_engine("batch", checker))
+        recorder = CDTraceRecorder(
+            checker, engine=make_engine(EngineConfig(kind="batch"), checker)
+        )
         planner = PRMPlanner(recorder, n_samples=24, k_neighbors=5)
         rng = np.random.default_rng(7)
         planner.build_roadmap(rng)

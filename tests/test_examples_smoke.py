@@ -3,9 +3,11 @@
 The realtime/replanning examples were made self-checking (they exit
 nonzero on a budget violation or an invalid final path), so running them
 as subprocesses is a real end-to-end test of the planner, the runtime, and
-the deadline enforcement — not just an import check.
+the deadline enforcement — not just an import check. Each script runs
+once per session; the output checks below reuse that run.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+@functools.lru_cache(maxsize=None)
 def _run_example(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")

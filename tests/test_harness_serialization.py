@@ -101,7 +101,7 @@ class TestFileRoundtrip:
     def test_version_check(self, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as handle:
-            handle.write('{"version": 99, "phases": []}')
+            handle.write('{"schema": 99, "kind": "phases", "payload": []}')
         with pytest.raises(ValueError):
             load_phases(path)
 
@@ -217,8 +217,7 @@ class TestEngineRunRoundtrip:
 
         from repro.harness.serialization import load_engine_run
 
-        payload = {
-            "version": 1,
+        run = {
             "engine": "sequential",
             "phases": [
                 {
@@ -233,6 +232,139 @@ class TestEngineRunRoundtrip:
         }
         path = str(tmp_path / "bad_run.json")
         with open(path, "w") as handle:
-            json.dump(payload, handle)
+            json.dump({"schema": 1, "kind": "engine_run", "payload": run}, handle)
         with pytest.raises(ValueError, match="answers"):
             load_engine_run(path)
+
+
+# ----------------------------------------------------------------------
+# The file envelope: every kind this module saves is written as
+# {"schema", "kind", "payload"} and read back strictly.
+
+
+def _envelope_samples(checker) -> dict:
+    """kind -> (save, load, a small object of that kind)."""
+    from repro.accel.runtime import RuntimeReport
+    from repro.accel.sas import SASResult
+    from repro.accel.telemetry import MetricsRegistry
+    from repro.config import ReproConfig
+    from repro.harness import serialization as ser
+    from repro.resilience.faults import FaultModels, FaultSchedule
+    from repro.scenarios import ScenarioSpec
+    from repro.serving import FleetReport, ServiceReport
+    from repro.serving.traffic import TrafficSpec
+
+    report_fields = dict(
+        responses={},
+        sim_ms=0.0,
+        rounds=0,
+        dispatches=0,
+        phases_answered=0,
+        poses_dispatched=0,
+        cache_counters=None,
+    )
+    return {
+        "traces": (ser.save_traces, ser.load_traces, []),
+        "phases": (ser.save_phases, ser.load_phases, []),
+        "sas_run": (
+            ser.save_sas_run,
+            ser.load_sas_run,
+            SASResult(cycles=4, tests=2, energy_pj=1.5),
+        ),
+        "engine_run": (
+            ser.save_engine_run,
+            ser.load_engine_run,
+            CDTraceRecorder(checker),
+        ),
+        "fault_schedule": (
+            ser.save_fault_schedule,
+            ser.load_fault_schedule,
+            FaultSchedule(FaultModels(), seed=3),
+        ),
+        "config": (ser.save_config, ser.load_config, ReproConfig()),
+        "scenario": (
+            ser.save_scenario,
+            ser.load_scenario,
+            ScenarioSpec("envelope", "moving_obstacles"),
+        ),
+        "telemetry": (ser.save_telemetry, ser.load_telemetry, MetricsRegistry()),
+        "traffic_trace": (
+            ser.save_traffic_trace,
+            ser.load_traffic_trace,
+            TrafficSpec(n_requests=3).generate(),
+        ),
+        "service_report": (
+            ser.save_report,
+            ser.load_report,
+            ServiceReport(**report_fields),
+        ),
+        "runtime_report": (ser.save_report, ser.load_report, RuntimeReport()),
+        "fleet_report": (
+            ser.save_report,
+            ser.load_report,
+            FleetReport(**report_fields, n_shards=2),
+        ),
+    }
+
+
+ENVELOPE_KINDS = [
+    "traces",
+    "phases",
+    "sas_run",
+    "engine_run",
+    "fault_schedule",
+    "config",
+    "scenario",
+    "telemetry",
+    "traffic_trace",
+    "service_report",
+    "runtime_report",
+    "fleet_report",
+]
+
+
+def _saved_envelope(kind, checker, tmp_path):
+    import json
+
+    save, load, sample = _envelope_samples(checker)[kind]
+    path = str(tmp_path / f"{kind}.json")
+    save(path, sample)
+    with open(path) as handle:
+        return path, load, json.load(handle)
+
+
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+def test_envelope_names_kind(kind, jaco_checker, tmp_path):
+    from repro.harness.serialization import FILE_SCHEMA
+
+    path, load, envelope = _saved_envelope(kind, jaco_checker, tmp_path)
+    assert set(envelope) == {"schema", "kind", "payload"}
+    assert envelope["schema"] == FILE_SCHEMA
+    assert envelope["kind"] == kind
+    load(path)
+
+
+@pytest.mark.parametrize(
+    "case", ["unknown_key", "wrong_schema", "wrong_kind", "missing_payload"]
+)
+@pytest.mark.parametrize("kind", ENVELOPE_KINDS)
+def test_envelope_refuses_malformed(kind, case, jaco_checker, tmp_path):
+    import json
+
+    path, load, envelope = _saved_envelope(kind, jaco_checker, tmp_path)
+    if case == "unknown_key":
+        envelope["checksum"] = "abc"
+        name = "checksum"
+    elif case == "wrong_schema":
+        envelope["schema"] = 99
+        name = "schema"
+    elif case == "wrong_kind":
+        name = "phases" if kind == "traces" else "traces"
+        envelope["kind"] = name
+    else:
+        del envelope["payload"]
+        name = "payload"
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+    with pytest.raises(ValueError, match=name):
+        load(path)

@@ -7,11 +7,11 @@ from repro.accel.invariants import check_sas_result
 from repro.accel.sas import SASSimulator
 from repro.accel.telemetry import MetricsRegistry
 from repro.collision.checker import RobotEnvironmentChecker
+from repro.config import ENGINE_KINDS, EngineConfig
 from repro.env.octree import Octree
 from repro.env.scene import Scene
 from repro.geometry.aabb import AABB
 from repro.planning.engine import (
-    ENGINE_KINDS,
     BatchedEngine,
     PhaseAnswer,
     SequentialEngine,
@@ -76,16 +76,22 @@ class TestMakeEngine:
     def test_kinds_and_aliases(self, world):
         scalar = make_checker(world, "scalar")
         batch = make_checker(world, "batch")
-        assert isinstance(make_engine("sequential", scalar), SequentialEngine)
-        assert isinstance(make_engine("batch", batch), BatchedEngine)
-        assert isinstance(make_engine("batched", batch), BatchedEngine)
-        assert isinstance(make_engine("simulated", scalar), SimulatedEngine)
-        assert isinstance(make_engine("sas", scalar), SimulatedEngine)
-        assert set(ENGINE_KINDS) == {"sequential", "batch", "simulated"}
+        kinds = {
+            "sequential": (scalar, SequentialEngine),
+            "batch": (batch, BatchedEngine),
+            "simulated": (scalar, SimulatedEngine),
+        }
+        for kind, (checker, engine_cls) in kinds.items():
+            engine = make_engine(EngineConfig(kind=kind), checker)
+            assert isinstance(engine, engine_cls)
+        assert set(ENGINE_KINDS) == set(kinds)
 
     def test_unknown_kind_raises(self, world):
         with pytest.raises(ValueError, match="unknown engine kind"):
-            make_engine("warp", make_checker(world, "scalar"))
+            EngineConfig(kind="warp")
+        # Bare kind strings are refused: EngineConfig is the one spelling.
+        with pytest.raises(TypeError, match="EngineConfig"):
+            make_engine("sequential", make_checker(world, "scalar"))
 
     def test_batched_rejects_scalar_checker(self, world):
         with pytest.raises(ValueError, match="backend='batch'"):
@@ -116,7 +122,9 @@ class TestEngineEquivalence:
 
     def _run(self, world, engine_kind, backend, **engine_kwargs):
         checker = make_checker(world, backend)
-        engine = make_engine(engine_kind, checker, **engine_kwargs)
+        engine = make_engine(
+            EngineConfig(kind=engine_kind), checker, **engine_kwargs
+        )
         recorder = CDTraceRecorder(checker, engine=engine)
         answers = run_script(recorder)
         return answers, checker.stats.as_dict(), recorder

@@ -151,6 +151,7 @@ class TestDegenerateInputs:
         ("scalar", "simulated"),
     ])
     def test_contract_holds_across_engines(self, world, backend, engine_kind):
+        from repro.config import EngineConfig
         from repro.planning.engine import make_engine
 
         robot, base_checker = world
@@ -159,7 +160,7 @@ class TestDegenerateInputs:
             backend=backend,
         )
         recorder = CDTraceRecorder(
-            checker, engine=make_engine(engine_kind, checker)
+            checker, engine=make_engine(EngineConfig(kind=engine_kind), checker)
         )
         assert recorder.feasibility([FREE_A]) is None
         assert recorder.connectivity(FREE_A, []) is None

@@ -1,13 +1,19 @@
-"""Report protocol: schema-versioned round trips and strict rejection.
+"""Report protocol: lossless round trips and strict rejection.
 
-ServiceReport, RuntimeReport, and FleetReport share one serialization
-convention (``repro.harness.reports``): stamped with schema + kind, every
-key validated by name on the way back in.  These tests run real workloads
-to produce non-trivial reports, round-trip them through the
-``save_report``/``load_report`` file envelope, and pin the failure modes —
-unknown keys, missing keys, wrong kind, wrong version — all rejected with
-the offending names in the message.
+ServiceReport, RuntimeReport, and FleetReport (a ServiceReport with three
+shard fields) share one serialization convention: ``to_dict`` holds only
+the report's fields, every key validated by name on the way back in
+(``repro.harness.reports.check_keys``), and the file envelope of
+``save_report``/``load_report`` names the kind.  These tests run real
+workloads to produce non-trivial reports, round-trip them through the
+file envelope, and pin the failure modes — unknown keys, missing keys,
+wrong kind, wrong schema — all rejected with the offending names in the
+message.  The envelope itself is checked for every file kind in
+``tests/test_harness_serialization.py``.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -17,14 +23,11 @@ from repro.collision.checker import RobotEnvironmentChecker
 from repro.config import FleetConfig, ReproConfig
 from repro.env.generator import random_scene
 from repro.env.octree import Octree
-from repro.harness.reports import REPORT_SCHEMA, check_keys, stamp_report
-from repro.harness.serialization import (
-    SCHEMA_VERSION,
-    load_report,
-    save_report,
-)
+from repro.harness.reports import check_keys
+from repro.harness.serialization import FILE_SCHEMA, load_report, save_report
 from repro.robot.presets import planar_arm
 from repro.serving import (
+    FleetReport,
     PlanningFleet,
     PlanningService,
     PlanRequest,
@@ -134,11 +137,6 @@ class TestServiceReportRoundTrip:
         assert loaded.sim_ms == service_report.sim_ms
         assert loaded.goodput == service_report.goodput
 
-    def test_dict_is_stamped(self, service_report):
-        data = service_report.to_dict()
-        assert data["schema"] == REPORT_SCHEMA
-        assert data["kind"] == "service_report"
-
     def test_unknown_key_rejected_by_name(self, service_report):
         data = service_report.to_dict()
         data["surprise_field"] = 1
@@ -149,18 +147,6 @@ class TestServiceReportRoundTrip:
         data = service_report.to_dict()
         del data["rounds"]
         with pytest.raises(ValueError, match="rounds"):
-            ServiceReport.from_dict(data)
-
-    def test_wrong_kind_rejected(self, service_report):
-        data = service_report.to_dict()
-        data["kind"] = "fleet_report"
-        with pytest.raises(ValueError, match="service_report"):
-            ServiceReport.from_dict(data)
-
-    def test_wrong_schema_rejected(self, service_report):
-        data = service_report.to_dict()
-        data["schema"] = REPORT_SCHEMA + 1
-        with pytest.raises(ValueError, match="schema"):
             ServiceReport.from_dict(data)
 
     def test_response_unknown_key_rejected(self, service_report):
@@ -176,7 +162,7 @@ class TestFleetReportRoundTrip:
         path = tmp_path / "fleet.json"
         save_report(str(path), fleet_report)
         loaded = load_report(str(path))
-        assert type(loaded).__name__ == "FleetReport"
+        assert type(loaded) is FleetReport
         assert loaded.to_dict() == fleet_report.to_dict()
         assert loaded.n_shards == fleet_report.n_shards
         assert loaded.shard_sim_ms == fleet_report.shard_sim_ms
@@ -189,9 +175,17 @@ class TestFleetReportRoundTrip:
         assert loaded.goodput == fleet_report.goodput
         assert loaded.goodput_per_sim_s == fleet_report.goodput_per_sim_s
 
-    def test_unknown_key_rejected_by_name(self, fleet_report):
-        from repro.serving import FleetReport
+    def test_fleet_report_adds_only_shard_fields(self, fleet_report):
+        assert isinstance(fleet_report, ServiceReport)
+        extra = {f.name for f in dataclasses.fields(FleetReport)} - {
+            f.name for f in dataclasses.fields(ServiceReport)
+        }
+        assert extra == {"n_shards", "shard_sim_ms", "shard_summaries"}
+        assert set(fleet_report.to_dict()) == {
+            f.name for f in dataclasses.fields(FleetReport)
+        }
 
+    def test_unknown_key_rejected_by_name(self, fleet_report):
         data = fleet_report.to_dict()
         data["shard_count"] = 9
         with pytest.raises(ValueError, match="shard_count"):
@@ -227,8 +221,6 @@ class TestRuntimeReportRoundTrip:
 
 class TestFileEnvelope:
     def test_unknown_envelope_key_rejected(self, runtime_report, tmp_path):
-        import json
-
         path = tmp_path / "runtime.json"
         save_report(str(path), runtime_report)
         payload = json.loads(path.read_text())
@@ -238,19 +230,15 @@ class TestFileEnvelope:
             load_report(str(path))
 
     def test_version_mismatch_rejected(self, runtime_report, tmp_path):
-        import json
-
         path = tmp_path / "runtime.json"
         save_report(str(path), runtime_report)
         payload = json.loads(path.read_text())
-        payload["version"] = SCHEMA_VERSION + 1
+        payload["schema"] = FILE_SCHEMA + 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match="schema"):
             load_report(str(path))
 
     def test_unknown_kind_rejected(self, runtime_report, tmp_path):
-        import json
-
         path = tmp_path / "runtime.json"
         save_report(str(path), runtime_report)
         payload = json.loads(path.read_text())
@@ -260,14 +248,12 @@ class TestFileEnvelope:
             load_report(str(path))
 
     def test_missing_report_body_rejected(self, runtime_report, tmp_path):
-        import json
-
         path = tmp_path / "runtime.json"
         save_report(str(path), runtime_report)
         payload = json.loads(path.read_text())
-        del payload["report"]
+        del payload["payload"]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="report"):
+        with pytest.raises(ValueError, match="payload"):
             load_report(str(path))
 
     def test_save_report_rejects_foreign_types(self, tmp_path):
@@ -276,12 +262,6 @@ class TestFileEnvelope:
 
 
 class TestProtocolHelpers:
-    def test_stamp_then_check(self):
-        payload = stamp_report("service_report", {"a": 1, "b": 2})
-        assert payload["schema"] == REPORT_SCHEMA
-        assert payload["kind"] == "service_report"
-        check_keys("demo", {"a": 1, "b": 2}, ("a", "b"))
-
     def test_check_keys_lists_every_offender(self):
         with pytest.raises(ValueError, match="x.*z"):
             check_keys("demo", {"x": 1, "z": 2, "a": 0}, ("a",))

@@ -42,11 +42,14 @@ def _instance(script: str):
 
 
 def _drive_epochs(instance, engine_kind: str, cache_enabled: bool):
-    """Run a fixed probe mix against every scripted epoch.
+    """Run one fixed probe mix against every scripted epoch.
 
     Returns per-epoch ``(verdicts, stats)`` snapshots.  The probe mix
     exercises all three planner-facing query kinds through the recorder,
-    so both engines answer the identical phase stream.
+    so both engines answer the identical phase stream.  Every epoch probes
+    the same poses, so cache entries that survive an update's selective
+    invalidation are replayed — and must charge exactly the stats a fresh
+    evaluation against the new octree would.
     """
     backend = "batch" if engine_kind == "batch" else "scalar"
     config = ReproConfig(
@@ -60,13 +63,12 @@ def _drive_epochs(instance, engine_kind: str, cache_enabled: bool):
     recorder = CDTraceRecorder(
         checker, engine=make_engine(config.engine, checker)
     )
-    robot = instance.robot
+    rng = np.random.default_rng(500)
+    poses = [instance.robot.random_configuration(rng) for _ in range(6)]
     epochs = []
     for epoch in range(instance.n_epochs):
         if epoch:
             checker.update_octree(instance.epoch_octrees[epoch])
-        rng = np.random.default_rng(500 + epoch)
-        poses = [robot.random_configuration(rng) for _ in range(6)]
         verdicts = []
         for a, b in zip(poses[:-1], poses[1:]):
             verdicts.append(recorder.steer(a, b))

@@ -209,7 +209,7 @@ def test_missing_required_keys_rejected():
 def test_scenario_file_version_gate(tmp_path):
     path = os.path.join(str(tmp_path), "bad.json")
     with open(path, "w") as handle:
-        json.dump({"version": 99, "scenario": {}}, handle)
+        json.dump({"schema": 99, "kind": "scenario", "payload": {}}, handle)
     with pytest.raises(ValueError, match="99"):
         load_scenario(path)
 

@@ -133,7 +133,7 @@ class TestTraffic:
         assert load_traffic_trace(path) == trace
         with open(path) as handle:
             payload = json.load(handle)
-        payload["traffic"]["events"][3]["client_id"] = "client-99"
+        payload["payload"]["events"][3]["client_id"] = "client-99"
         with open(path, "w") as handle:
             json.dump(payload, handle)
         with pytest.raises(ValueError, match="regeneration"):
