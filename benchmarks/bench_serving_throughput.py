@@ -21,9 +21,9 @@ same environment:
 
 Per-request results are bit-identical across all three (pinned by
 ``tests/test_serving.py``); only wall clock and the work mix change.  The
-guard asserts the cache-warm batched path beats the sequential baseline by
-at least 2x wall-clock.  Reported but not guarded: cold-batch speedup,
-requests per wall-second, and the cache hit rate.
+guards assert the cache-warm batched path beats the sequential baseline by
+at least 2x wall-clock, and the cold batched path is not slower than it.
+Reported but not guarded: requests per wall-second and the cache hit rate.
 
 **Overload sweep.**  A second experiment drives the service with seeded
 Poisson traffic at multiples of its measured capacity, with admission
@@ -60,6 +60,9 @@ from repro.serving import (
 SEED = 13
 N_REQUESTS = 6
 SPEEDUP_FLOOR = 2.0
+#: Cold batched vs sequential wall clock.  Measured 1.12-1.37x on a 2-core
+#: box (three runs); the target is 1.5x, the floor only "not slower".
+COLD_SPEEDUP_FLOOR = 1.0
 
 OVERLOAD_SEED = 29
 OVERLOAD_N = 48
@@ -145,6 +148,16 @@ def test_cache_warm_batched_at_least_2x_faster():
         f"cache-warm batched serving speedup {report['speedup_warm']:.1f}x "
         f"fell below the {SPEEDUP_FLOOR:.0f}x floor (sequential "
         f"{report['sequential_s']:.3f}s, warm {report['warm_s']:.3f}s)"
+    )
+
+
+@pytest.mark.perf
+def test_cold_batched_not_slower_than_sequential():
+    report = measure_serving()
+    assert report["speedup_cold"] >= COLD_SPEEDUP_FLOOR, (
+        f"cold batched serving speedup {report['speedup_cold']:.2f}x fell "
+        f"below the {COLD_SPEEDUP_FLOOR:.1f}x floor (sequential "
+        f"{report['sequential_s']:.3f}s, cold {report['cold_s']:.3f}s)"
     )
 
 
@@ -372,6 +385,11 @@ def main() -> int:
     floor_met = report["speedup_warm"] >= SPEEDUP_FLOOR
     print(
         f"  2x floor            : {'met' if floor_met else 'MISSED'}"
+    )
+    cold_met = report["speedup_cold"] >= COLD_SPEEDUP_FLOOR
+    print(
+        f"  cold floor          : {'met' if cold_met else 'MISSED'} "
+        f"({COLD_SPEEDUP_FLOOR:.1f}x floor, 1.5x target)"
     )
     artifact = os.path.join(
         os.path.dirname(__file__), "BENCH_serving_throughput.json"

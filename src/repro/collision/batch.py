@@ -950,23 +950,38 @@ def batch_link_obbs(
 # ----------------------------------------------------------------------
 
 
+#: Columns of a per-pose work row, before the exit-stage counts.  A work
+#: row is everything a pose's evaluation charges to ``CollisionStats``
+#: (``sram_reads`` equals ``node_visits``), plus ``links_checked``.
+WORK_FIELDS: Tuple[str, ...] = (
+    "links_checked",
+    "node_visits",
+    "tests",
+    "multiplies",
+    "sat_axes_tested",
+    "sphere_tests",
+)
+#: First exit-count column; columns ``EXIT_COLUMN + code`` follow
+#: :data:`EXIT_STAGE_ORDER`.
+EXIT_COLUMN = len(WORK_FIELDS)
+#: Width of a per-pose work row.
+WORK_WIDTH = EXIT_COLUMN + len(EXIT_STAGE_ORDER)
+
+
 @dataclass
 class BatchPoseOutcome:
     """Verdicts and per-pose work for an N-pose batch.
 
-    ``links_checked[i]`` is how many link queries the scalar checker would
-    have executed at pose i (early exit after the first colliding link); the
-    per-pose stat arrays already account only those executed links.
+    ``work`` is one ``(N, WORK_WIDTH)`` int64 matrix: the
+    :data:`WORK_FIELDS` columns, then one exit count per
+    :data:`EXIT_STAGE_ORDER` stage.  Column 0, ``links_checked``, is how
+    many link queries the scalar checker would have executed at each pose
+    (early exit after the first colliding link); the other columns account
+    only those executed links.
     """
 
     hits: np.ndarray
-    links_checked: np.ndarray
-    node_visits: np.ndarray
-    tests: np.ndarray
-    multiplies: np.ndarray
-    sat_axes_tested: np.ndarray
-    sphere_tests: np.ndarray
-    exit_counts: np.ndarray  # (N, 6)
+    work: np.ndarray
 
     def __len__(self) -> int:
         return len(self.hits)
@@ -974,21 +989,41 @@ class BatchPoseOutcome:
     def record(self, stats: CollisionStats, poses=None) -> None:
         """Fold (a prefix or subset of) poses into ``stats``.
 
-        Does *not* touch ``pose_checks``/``motion_checks`` — the caller owns
-        the query-level counters, mirroring how the scalar checker splits
-        responsibility between ``check_pose`` and the collider.
+        One column sum over the selected work rows.  Does *not* touch
+        ``pose_checks``/``motion_checks`` — the caller owns the query-level
+        counters, mirroring how the scalar checker splits responsibility
+        between ``check_pose`` and the collider.
         """
-        sel = slice(None) if poses is None else poses
-        stats.node_visits += int(self.node_visits[sel].sum())
-        stats.sram_reads += int(self.node_visits[sel].sum())
-        stats.intersection_tests += int(self.tests[sel].sum())
-        stats.multiplies += int(self.multiplies[sel].sum())
-        stats.sat_axes_tested += int(self.sat_axes_tested[sel].sum())
-        stats.sphere_tests += int(self.sphere_tests[sel].sum())
-        totals = self.exit_counts[sel].sum(axis=0)
-        for code, count in enumerate(totals):
+        work = self.work if poses is None else self.work[poses]
+        totals = work.sum(axis=0).tolist()
+        _, node_visits, tests, multiplies, sat_axes, sphere_tests = totals[
+            :EXIT_COLUMN
+        ]
+        stats.node_visits += node_visits
+        stats.sram_reads += node_visits
+        stats.intersection_tests += tests
+        stats.multiplies += multiplies
+        stats.sat_axes_tested += sat_axes
+        stats.sphere_tests += sphere_tests
+        for code, count in enumerate(totals[EXIT_COLUMN:]):
             if count:
-                stats.cascade_exits[EXIT_STAGE_ORDER[code].value] += int(count)
+                stats.cascade_exits[EXIT_STAGE_ORDER[code].value] += count
+
+
+def work_row(stats: CollisionStats, links_checked: int) -> np.ndarray:
+    """The work row of one pose whose evaluation charged ``stats``."""
+    row = np.zeros(WORK_WIDTH, dtype=np.int64)
+    row[:EXIT_COLUMN] = (
+        links_checked,
+        stats.node_visits,
+        stats.intersection_tests,
+        stats.multiplies,
+        stats.sat_axes_tested,
+        stats.sphere_tests,
+    )
+    for code, stage in enumerate(EXIT_STAGE_ORDER):
+        row[EXIT_COLUMN + code] = stats.cascade_exits.get(stage.value, 0)
+    return row
 
 
 class BatchPoseEvaluator:
@@ -1047,39 +1082,21 @@ class BatchPoseEvaluator:
         link_hits = trav.hit.reshape(n, n_links)
         hits = link_hits.any(axis=1)
         first_hit = np.argmax(link_hits, axis=1)
-        links_checked = np.where(hits, first_hit + 1, n_links)
-        if not need_work:
-            zeros = np.zeros(n, dtype=np.int64)
-            return BatchPoseOutcome(
-                hits=hits,
-                links_checked=links_checked,
-                node_visits=zeros,
-                tests=zeros,
-                multiplies=zeros,
-                sat_axes_tested=zeros,
-                sphere_tests=zeros,
-                exit_counts=np.zeros(
-                    (n, len(EXIT_STAGE_ORDER)), dtype=np.int64
-                ),
-            )
-        # Executed-link mask: the scalar checker stops after the first
-        # colliding link, so later links contribute no work.
-        executed = np.arange(n_links) < links_checked[:, None]
-
-        def fold(per_query: np.ndarray) -> np.ndarray:
-            return (per_query.reshape(n, n_links) * executed).sum(axis=1)
-
-        exit_counts = (
-            trav.exit_counts.reshape(n, n_links, len(EXIT_STAGE_ORDER))
-            * executed[:, :, None]
-        ).sum(axis=1)
-        return BatchPoseOutcome(
-            hits=hits,
-            links_checked=links_checked,
-            node_visits=fold(trav.node_visits),
-            tests=fold(trav.tests),
-            multiplies=fold(trav.multiplies),
-            sat_axes_tested=fold(trav.sat_axes_tested),
-            sphere_tests=fold(trav.sphere_tests),
-            exit_counts=exit_counts,
-        )
+        work = np.zeros((n, WORK_WIDTH), dtype=np.int64)
+        work[:, 0] = np.where(hits, first_hit + 1, n_links)
+        if need_work:
+            # Executed-link mask: the scalar checker stops after the first
+            # colliding link, so later links contribute no work.
+            executed = np.arange(n_links) < work[:, :1]
+            per_query = np.column_stack(
+                (
+                    trav.node_visits,
+                    trav.tests,
+                    trav.multiplies,
+                    trav.sat_axes_tested,
+                    trav.sphere_tests,
+                    trav.exit_counts,
+                )
+            ).reshape(n, n_links, WORK_WIDTH - 1)
+            work[:, 1:] = (per_query * executed[:, :, None]).sum(axis=1)
+        return BatchPoseOutcome(hits=hits, work=work)

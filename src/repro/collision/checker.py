@@ -17,7 +17,15 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.collision.cache import CollisionCache, footprint_of_obbs
+from repro.collision.batch import (
+    WORK_WIDTH,
+    BatchPoseEvaluator,
+    BatchPoseOutcome,
+    SoAScratch,
+    batch_link_obbs,
+    work_row,
+)
+from repro.collision.cache import CollisionCache, link_footprints
 from repro.collision.cascade import CascadeConfig, DEFAULT_CASCADE
 from repro.collision.octree_cd import OBBOctreeCollider, TraversalTrace
 from repro.collision.stats import CollisionStats
@@ -70,37 +78,6 @@ class MotionCollisionResult:
     first_colliding_index: Optional[int]
     poses_checked: int
     total_poses: int
-
-
-class _CachedPoseOutcome:
-    """Batch-outcome facade assembled from cache hits plus fresh rows.
-
-    Mirrors the :class:`~repro.collision.batch.BatchPoseOutcome` surface the
-    stats-charging call sites use (``hits`` + ``record(stats, poses=...)``);
-    ``record`` replays each selected row's stored per-pose delta instead of
-    summing outcome arrays — same integer totals, by construction.
-    """
-
-    __slots__ = ("hits", "_deltas")
-
-    def __init__(self, hits: np.ndarray, deltas: List[Optional[CollisionStats]]):
-        self.hits = hits
-        self._deltas = deltas
-
-    def __len__(self) -> int:
-        return len(self.hits)
-
-    def record(self, stats: CollisionStats, poses=None) -> None:
-        if poses is None:
-            rows = range(len(self.hits))
-        elif isinstance(poses, slice):
-            rows = range(*poses.indices(len(self.hits)))
-        else:
-            rows = poses
-        for row in rows:
-            delta = self._deltas[int(row)]
-            if delta is not None:
-                stats.merge(delta)
 
 
 class RobotEnvironmentChecker:
@@ -161,7 +138,7 @@ class RobotEnvironmentChecker:
         # verdicts are not a function of the pose alone.
         self.cache = cache
         if cache is not None:
-            cache.attach(collect_stats, self.pose_footprint)
+            cache.attach(collect_stats, self.pose_footprints)
 
     @classmethod
     def from_config(
@@ -226,8 +203,6 @@ class RobotEnvironmentChecker:
         around it), keeping the buffers warm across environment swaps.
         """
         if self._shared_scratch is None:
-            from repro.collision.batch import SoAScratch
-
             self._shared_scratch = SoAScratch()
         return self._shared_scratch
 
@@ -235,8 +210,6 @@ class RobotEnvironmentChecker:
     def batch_evaluator(self):
         """The lazily built vectorized pipeline behind ``backend="batch"``."""
         if self._batch_evaluator is None:
-            from repro.collision.batch import BatchPoseEvaluator
-
             self._batch_evaluator = BatchPoseEvaluator(
                 self.robot,
                 self.octree,
@@ -277,19 +250,24 @@ class RobotEnvironmentChecker:
                 ]
         return obbs
 
-    def pose_footprint(self, q):
-        """AABB over the (quantized, uncorrupted) link OBBs' bounding
-        spheres at ``q``.
+    def pose_footprints(self, qs):
+        """Footprint boxes of an ``(n, dof)`` pose block: ``(n, 3)`` centers
+        and half extents of the AABB over each pose's (quantized,
+        uncorrupted) link OBBs' bounding spheres.
 
         This bounds the query volume the octree traversal tests against, so
         the cache can prove an environment update cannot have changed a
-        cached verdict.  Fault corruption is deliberately excluded — the
+        cached verdict.  One batched FK/OBB pass; equal bit for bit to
+        :func:`~repro.collision.cache.footprint_of_obbs` over
+        :meth:`link_obbs`.  Fault corruption is deliberately excluded — the
         cache is bypassed while bit flips are active.
         """
-        obbs = self.robot.link_obbs(q)
-        if self.fixed_point is not None:
-            obbs = [quantize_obb(obb, self.fixed_point) for obb in obbs]
-        return footprint_of_obbs(obbs)
+        qs = np.asarray(qs, dtype=float)
+        obbs = batch_link_obbs(self.robot, qs, self.fixed_point)
+        n_links = self.robot.num_links
+        return link_footprints(
+            obbs.center.reshape(len(qs), n_links, 3), obbs.half[:n_links]
+        )
 
     def _cache_active(self) -> bool:
         return self.cache is not None and not self._bit_flips_active()
@@ -308,39 +286,38 @@ class RobotEnvironmentChecker:
         return False
 
     def _check_pose_cached(self, q) -> bool:
-        """One pose check through the verdict cache.
+        """One pose check through the verdict cache (a 1-row block).
 
-        A hit charges ``pose_checks`` and replays the stored per-pose stats
-        delta; a miss evaluates fresh (scalar or batched, per backend),
-        charges normally, and stores the verdict with its delta — so the
-        recorded stats equal a cache-off run bit for bit.
+        A hit replays the stored work row; a miss evaluates fresh (scalar
+        or batched, per backend) and stores the verdict with its work row.
+        Either way ``pose_checks`` is charged and the row is recorded, so
+        the stats equal a cache-off run bit for bit.
         """
-        cache = self.cache
-        entry = cache.lookup(q)
-        self.stats.pose_checks += 1
-        if entry is not None:
-            if self.collect_stats:
-                self.stats.merge(entry.stats)
-            return entry.verdict
-        delta = CollisionStats()
+        qs = np.asarray(q, dtype=float)[None, :]
         if self.backend == "batch":
-            outcome = self.batch_evaluator.evaluate(
-                np.asarray(q, dtype=float)[None, :]
-            )
-            verdict = bool(outcome.hits[0])
-            if self.collect_stats:
-                outcome.record(delta, poses=[0])
+            outcome = self.evaluate_poses(qs)
         else:
-            verdict = False
-            stats = delta if self.collect_stats else None
-            for obb in self.link_obbs(q):
-                if self.collider.collides(obb, stats=stats):
-                    verdict = True
-                    break
+            outcome = self._through_cache(qs, self._scalar_outcome)
+        self.stats.pose_checks += 1
         if self.collect_stats:
-            self.stats.merge(delta)
-        cache.store(q, verdict, delta)
-        return verdict
+            outcome.record(self.stats)
+        return bool(outcome.hits[0])
+
+    def _scalar_outcome(self, qs) -> BatchPoseOutcome:
+        """Pose-at-a-time scalar evaluation, packed as a batch outcome."""
+        hits = np.zeros(len(qs), dtype=bool)
+        work = np.zeros((len(qs), WORK_WIDTH), dtype=np.int64)
+        for row, q in enumerate(qs):
+            delta = CollisionStats()
+            stats = delta if self.collect_stats else None
+            links = 0
+            for obb in self.link_obbs(q):
+                links += 1
+                if self.collider.collides(obb, stats=stats):
+                    hits[row] = True
+                    break
+            work[row] = work_row(delta, links)
+        return BatchPoseOutcome(hits, work)
 
     def check_poses(self, qs) -> np.ndarray:
         """Boolean collision verdicts for an ``(N, dof)`` pose batch.
@@ -371,47 +348,42 @@ class RobotEnvironmentChecker:
     def evaluate_poses(self, qs, need_work: bool = True):
         """Batch-evaluate poses through the cache (when one is attached).
 
-        The cache-aware twin of ``self.batch_evaluator.evaluate``: cached
-        rows skip evaluation, fresh rows go through the vectorized pipeline
-        in one dispatch and are inserted.  Returns an outcome with the same
-        ``hits``/``record(stats, poses=...)`` surface as
-        :class:`~repro.collision.batch.BatchPoseOutcome`, where ``record``
-        replays each selected row's per-pose delta — identical counts to a
-        cache-off evaluation.  Does not touch ``pose_checks`` (caller-owned).
+        The cache-aware twin of ``self.batch_evaluator.evaluate``: one
+        block lookup, one vectorized dispatch of the missed rows, one block
+        store.  Returns a :class:`~repro.collision.batch.BatchPoseOutcome`
+        whose cached rows carry their stored work rows, so ``record``
+        charges identical counts to a cache-off evaluation.  Does not touch
+        ``pose_checks`` (caller-owned).
 
         ``need_work=False`` runs the verdict-only batch pipeline (identical
         hits, zeroed work) — callers pass their own ``collect_stats`` so the
-        flag never drops counters anyone would have read.  With a cache
-        attached this matches the existing contract: stats-off runs already
-        store empty per-pose deltas.
+        flag never drops counters anyone would have read.  A cache binds
+        one ``collect_stats`` mode, and stats-off callers never record, so
+        the zeroed rows it may store are never replayed.
         """
         qs = np.asarray(qs, dtype=float)
         if qs.ndim == 1:
             qs = qs[None, :]
         if not self._cache_active():
             return self.batch_evaluator.evaluate(qs, need_work=need_work)
+        return self._through_cache(
+            qs, lambda fresh: self.batch_evaluator.evaluate(fresh, need_work=need_work)
+        )
+
+    def _through_cache(self, qs, evaluate) -> BatchPoseOutcome:
+        """One block lookup, one ``evaluate`` call on the missed rows, one
+        block store; the outcome assembles cached and fresh rows."""
         cache = self.cache
-        n = len(qs)
-        hits = np.zeros(n, dtype=bool)
-        deltas: List[Optional[CollisionStats]] = [None] * n
-        fresh: List[int] = []
-        for i, q in enumerate(qs):
-            entry = cache.lookup(q)
-            if entry is None:
-                fresh.append(i)
-            else:
-                hits[i] = entry.verdict
-                deltas[i] = entry.stats
-        if fresh:
-            outcome = self.batch_evaluator.evaluate(qs[fresh], need_work=need_work)
+        cached = cache.lookup(qs)
+        hits, work = cached.verdicts, cached.work
+        fresh = np.flatnonzero(~cached.found)
+        if len(fresh):
+            outcome = evaluate(qs[fresh])
             hits[fresh] = outcome.hits
-            for row, i in enumerate(fresh):
-                delta = CollisionStats()
-                if self.collect_stats:
-                    outcome.record(delta, poses=[row])
-                deltas[i] = delta
-                cache.store(qs[i], bool(outcome.hits[row]), delta)
-        return _CachedPoseOutcome(hits, deltas)
+            work[fresh] = outcome.work
+            keys = [cached.keys[row] for row in fresh.tolist()]
+            cache.store(qs[fresh], outcome.hits, outcome.work, keys=keys)
+        return BatchPoseOutcome(hits, work)
 
     def check_pose_detailed(self, q) -> PoseCheckResult:
         """Pose check that keeps per-link traversal traces (for timing sims).

@@ -39,6 +39,9 @@ workers could not observe each other's in-drain writes, so inline mode
 must not either — and at the drain boundary the fleet merges every
 shard's fresh entries into it in shard-index order
 (:meth:`~repro.collision.cache.CollisionCache.adopt`, first writer wins).
+Tier content travels as :class:`~repro.collision.cache.CacheBlock` arrays,
+so a process job's cache state pickles as a few arrays, not per-pose
+objects.
 
 **Epoch-consistent invalidation broadcast.**  :meth:`PlanningFleet.
 update_environment` requires the whole fleet idle, computes the
@@ -338,7 +341,7 @@ def _run_shard_job(job: dict) -> dict:
         "report": report,
         "state": service.export_state(),
         "cache": cache.export_state() if cache is not None else None,
-        "fresh": cache.export_fresh() if cache is not None else [],
+        "fresh": cache.export_fresh() if cache is not None else None,
     }
 
 
@@ -504,14 +507,15 @@ class PlanningFleet:
         # Drain-boundary global-tier sync, in shard-index order (first
         # writer wins) — the global tier was frozen during the drain.
         if self.global_cache is not None:
-            for entries in fresh:
-                self.global_cache.adopt(entries)
+            for block in fresh:
+                if block is not None:
+                    self.global_cache.adopt(block)
         return self._merge_reports(reports)
 
     def _run_inline(self):
         reports = [shard.run() for shard in self.shards]
         fresh = [
-            cache.export_fresh() if cache is not None else []
+            cache.export_fresh() if cache is not None else None
             for cache in self.caches
         ]
         return reports, fresh
@@ -558,7 +562,7 @@ class PlanningFleet:
             if pose_buf is not None:
                 pose_buf.release()
         reports: List[ServiceReport] = []
-        fresh: List[list] = []
+        fresh: list = []
         for result in results:
             index = result["shard"]
             shard = self.shards[index]

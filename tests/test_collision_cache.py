@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 from repro.accel.telemetry import MetricsRegistry
-from repro.collision.cache import DEFAULT_QUANTUM, CollisionCache
+from repro.collision.cache import DEFAULT_QUANTUM, CollisionCache, footprint_of_obbs
 from repro.collision.checker import RobotEnvironmentChecker
 from repro.config import CacheConfig, ReproConfig
 from repro.env.generator import random_scene
 from repro.env.octree import Octree
 from repro.geometry.aabb import AABB
+from repro.geometry.fixed_point import DEFAULT_FORMAT
+from repro.robot import presets
 from repro.robot.presets import planar_arm
 
 
@@ -35,6 +37,12 @@ def _checker(robot, octree, backend, cached, **cache_kwargs):
         cache=CacheConfig(enabled=cached, **cache_kwargs),
     )
     return RobotEnvironmentChecker.from_config(robot, octree, config)
+
+
+def _probe(cache, q):
+    """A one-row block lookup: the cached verdict, or None on a miss."""
+    result = cache.lookup(np.asarray(q)[None, :])
+    return bool(result.verdicts[0]) if result.found[0] else None
 
 
 def _drive(checker, robot, seed=5, n=12):
@@ -165,11 +173,11 @@ class TestCacheMechanics:
         cache.attach(False, None)
         qs = [np.array([float(i)]) for i in range(3)]
         for q in qs:
-            assert cache.lookup(q) is None
-            cache.store(q, False, None)
+            assert _probe(cache, q) is None
+            cache.store(q[None, :], [False])
         assert len(cache) == 2
-        assert cache.lookup(qs[0]) is None  # evicted first-in
-        assert cache.lookup(qs[2]) is not None
+        assert _probe(cache, qs[0]) is None  # evicted first-in
+        assert _probe(cache, qs[2]) is not None
 
     def test_overwrite_does_not_evict(self):
         """Re-storing an existing key is not an insert: at capacity, an
@@ -178,14 +186,13 @@ class TestCacheMechanics:
         cache = CollisionCache(quantum=1e-9, max_entries=2)
         cache.attach(False, None)
         qs = [np.array([float(i)]) for i in range(2)]
-        for q in qs:
-            cache.store(q, False, None)
+        cache.store(np.stack(qs), [False, False])
         assert len(cache) == 2
         for _ in range(5):  # repeated same-key stores at capacity
-            cache.store(qs[1], True, None)
+            cache.store(qs[1][None, :], [True])
         assert len(cache) == 2
-        assert cache.lookup(qs[0]) is not None  # survived every overwrite
-        assert cache.lookup(qs[1]).verdict is True
+        assert _probe(cache, qs[0]) is not None  # survived every overwrite
+        assert _probe(cache, qs[1]) is True
 
     def test_overwrite_keeps_fifo_order(self):
         """An overwrite keeps the key's original insertion slot, so the
@@ -193,13 +200,11 @@ class TestCacheMechanics:
         cache = CollisionCache(quantum=1e-9, max_entries=2)
         cache.attach(False, None)
         q0, q1, q2 = (np.array([float(i)]) for i in range(3))
-        cache.store(q0, False, None)
-        cache.store(q1, False, None)
-        cache.store(q0, True, None)  # overwrite: q0 stays the oldest
-        cache.store(q2, False, None)  # genuine insert evicts q0
-        assert cache.lookup(q0) is None
-        assert cache.lookup(q1) is not None
-        assert cache.lookup(q2) is not None
+        # One block, applied in row order: q0's overwrite is not an insert.
+        cache.store(np.stack([q0, q1, q0, q2]), [False, False, True, False])
+        assert _probe(cache, q0) is None
+        assert _probe(cache, q1) is not None
+        assert _probe(cache, q2) is not None
 
     def test_attach_mode_mismatch_rejected(self):
         cache = CollisionCache(quantum=1e-9)
@@ -211,10 +216,65 @@ class TestCacheMechanics:
     def test_advance_epoch_clears(self):
         cache = CollisionCache(quantum=1e-9)
         cache.attach(False, None)
-        cache.store(np.array([1.0]), True, None)
+        cache.store(np.array([1.0]), [True])
         cache.advance_epoch()
         assert len(cache) == 0
-        assert cache.lookup(np.array([1.0])) is None
+        assert _probe(cache, np.array([1.0])) is None
+
+
+class TestFootprintExactness:
+    """Block footprints (one batched FK/OBB pass, per-link radii) equal the
+    per-pose :func:`footprint_of_obbs` reference bit for bit, and the
+    array overlap test keeps exactly the per-entry survivors."""
+
+    @pytest.mark.parametrize("preset", ["jaco2", "baxter_arm", "planar_arm"])
+    @pytest.mark.parametrize(
+        "fixed_point", [DEFAULT_FORMAT, None], ids=["fixed", "float"]
+    )
+    def test_block_footprints_equal_reference(self, world, preset, fixed_point):
+        _, octree, _ = world
+        robot = getattr(presets, preset)()
+        checker = RobotEnvironmentChecker(robot, octree, fixed_point=fixed_point)
+        rng = np.random.default_rng(7)
+        qs = np.stack([robot.random_configuration(rng) for _ in range(40)])
+        center, half = checker.pose_footprints(qs)
+        for i, q in enumerate(qs):
+            reference = footprint_of_obbs(checker.link_obbs(q))
+            assert center[i].tobytes() == reference.center.tobytes()
+            assert half[i].tobytes() == reference.half_extents.tobytes()
+
+    def test_survivors_equal_per_entry_test(self, world):
+        _, octree, robot = world
+        checker = _checker(robot, octree, "batch", cached=True)
+        rng = np.random.default_rng(8)
+        qs = np.stack([robot.random_configuration(rng) for _ in range(30)])
+        checker.check_poses(qs)
+        footprints = [footprint_of_obbs(checker.link_obbs(q)) for q in qs]
+        # Boxes that exactly touch the outermost footprint faces (closed
+        # boxes overlap) or stop one ulp short of one, plus random ones.
+        lo = np.array([fp.minimum for fp in footprints])
+        hi = np.array([fp.maximum for fp in footprints])
+        x_face = hi[:, 0].max()
+        y_face = hi[:, 1].max()
+        y_short = np.nextafter(lo[:, 1].min(), -np.inf)
+        regions = [
+            AABB.from_min_max([x_face, -2.0, -2.0], [x_face + 0.01, 2.0, 2.0]),
+            AABB.from_min_max([-2.0, y_face, -2.0], [2.0, y_face + 0.01, 2.0]),
+            AABB.from_min_max([-2.0, y_short - 0.01, -2.0], [2.0, y_short, 2.0]),
+        ]
+        for _ in range(3):
+            corner = rng.uniform(-1.0, 1.0, 3)
+            regions.append(AABB.from_min_max(corner, corner + 0.01))
+        expected = [
+            q
+            for q, fp in zip(qs, footprints)
+            if not any(fp.overlaps(region) for region in regions)
+        ]
+        assert 0 < len(expected) < len(qs)
+        dropped = checker.cache.invalidate_regions(regions)
+        assert dropped == len(qs) - len(expected)
+        survivors = checker.cache.export_entries().poses
+        assert survivors.tobytes() == np.stack(expected).tobytes()
 
 
 class TestRuntimeCacheEquivalence:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.accel.telemetry import MetricsRegistry
 from repro.collision.checker import RobotEnvironmentChecker
 from repro.config import FleetConfig, ReproConfig, ServiceConfig
 from repro.env.generator import random_scene
@@ -363,6 +364,25 @@ class TestGlobalCacheTier:
         assert _paths_equal(resp.path, path)
         assert resp.stats.as_dict() == stats
         assert resp.num_phases == phases
+
+    def test_telemetry_counts_tiered_lookups_once(self, world, poses):
+        """A lookup that misses the local tier and hits the global one is
+        one hit in telemetry, as in the report's tiered counters."""
+        _, octree, robot = world
+        telemetry = MetricsRegistry()
+        config = ReproConfig.for_fleet(
+            fleet=FleetConfig(n_shards=2, workers="inline", router="round_robin")
+        )
+        fleet = PlanningFleet(robot, octree, config=config, telemetry=telemetry)
+        for rid in ("orig", "twin"):
+            fleet.submit(
+                PlanRequest(rid, poses[0], poses[1], planner="rrt_connect", seed=100)
+            )
+            report = fleet.run()
+        counters = report.cache_counters
+        assert counters["hits_global"] > 0
+        assert telemetry.counter_value("cache.hits") == counters["hits"]
+        assert telemetry.counter_value("cache.misses") == counters["misses"]
 
     def test_global_cache_can_be_disabled(self, world, requests):
         _, octree, robot = world
